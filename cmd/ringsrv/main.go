@@ -7,7 +7,7 @@
 //	POST /v1/verify           {"topology":"...", "ring":[...], "node_faults":[...], "edge_faults":[...]}
 //	POST /v1/disjoint-cycles  {"topology":"debruijn(4,3)","max_cycles":2}
 //	POST /v1/broadcast        {"topology":"debruijn(4,2)","message_size":12,"rings":3}
-//	GET  /v1/stats            engine cache + session repair counters
+//	GET  /v1/stats            engine cache + session repair counters, read from the obs registry
 //	GET  /metrics             Prometheus text exposition (histograms included)
 //	GET  /v1/metrics          the same registry as a JSON snapshot
 //	GET  /healthz

@@ -5,6 +5,12 @@
 // duplicate in-flight computations, runs batches across a worker pool
 // and reports per-request statistics (cache hit, rounds, ring length
 // against the dⁿ − nf bound).
+//
+// The engine's obs registry is the only store of its counters: cache
+// hits, misses and evictions, session repair outcomes and replica
+// appends are registry counters bumped lock-free on their hot paths,
+// and CacheStats and Stats (the /v1/stats payload) are views read from
+// them.
 package engine
 
 import (
@@ -57,14 +63,14 @@ type Engine struct {
 	repairNs    [numRepairKinds]*obs.Histogram
 	repairTotal [numRepairKinds]*obs.Counter
 	journalErrs *obs.Counter // session_journal_errors_total
+	// Cache and replication counters (engine_cache_*_total,
+	// fleet_replica_*_total).
+	hits, misses, evicted         *obs.Counter
+	replicaAppends, replicaErrors *obs.Counter
 
 	mu       sync.Mutex
 	cache    *lruCache
 	inflight map[string]*flight
-	hits     int64
-	misses   int64
-	evicted  int64
-	sessions SessionStats
 }
 
 // flight is one in-progress embedding; duplicate concurrent requests for
@@ -104,21 +110,18 @@ func New(opts Options) *Engine {
 	}
 	reg.SetHelp("session_journal_errors_total", "session journal appends that failed (session degraded to memory-only durability)")
 	e.journalErrs = reg.Counter("session_journal_errors_total")
-	// Cache and replication counters live under the engine mutex; a
-	// collector mirrors them into the registry at scrape time.
 	reg.SetHelp("engine_cache_hits_total", "embed cache hits (in-flight collapses included)")
 	reg.SetHelp("engine_cache_entries", "live embed cache entries")
+	e.hits = reg.Counter("engine_cache_hits_total")
+	e.misses = reg.Counter("engine_cache_misses_total")
+	e.evicted = reg.Counter("engine_cache_evicted_total")
+	e.replicaAppends = reg.Counter("fleet_replica_appends_total")
+	e.replicaErrors = reg.Counter("fleet_replica_errors_total")
 	reg.AddCollector(func(r *obs.Registry) {
 		e.mu.Lock()
-		cs := e.cacheStatsLocked()
-		repl := e.sessions
+		entries := e.cache.len()
 		e.mu.Unlock()
-		r.Counter("engine_cache_hits_total").Set(cs.Hits)
-		r.Counter("engine_cache_misses_total").Set(cs.Misses)
-		r.Counter("engine_cache_evicted_total").Set(cs.Evicted)
-		r.Gauge("engine_cache_entries").Set(int64(cs.Entries))
-		r.Counter("fleet_replica_appends_total").Set(repl.ReplicaAppends)
-		r.Counter("fleet_replica_errors_total").Set(repl.ReplicaErrors)
+		r.Gauge("engine_cache_entries").Set(int64(entries))
 	})
 	return e
 }
@@ -180,24 +183,21 @@ func (e *Engine) EmbedRing(ctx context.Context, req Request) (*Result, error) {
 
 	e.mu.Lock()
 	if ent, ok := e.cache.get(key); ok {
-		e.hits++
 		e.mu.Unlock()
+		e.hits.Inc()
 		return e.result(net, ent.ring, ent.info, true, start), nil
 	}
 	if fl, ok := e.inflight[key]; ok {
 		e.mu.Unlock()
 		select {
 		case <-fl.done:
-			e.mu.Lock()
 			if fl.err != nil {
 				// The collapsed computation failed: account the waiter
 				// as a miss so Hits+Misses still equals served requests.
-				e.misses++
-				e.mu.Unlock()
+				e.misses.Inc()
 				return nil, fl.err
 			}
-			e.hits++
-			e.mu.Unlock()
+			e.hits.Inc()
 			return e.result(net, fl.ring, fl.info, true, start), nil
 		case <-ctx.Done():
 			return nil, ctx.Err()
@@ -216,11 +216,12 @@ func (e *Engine) EmbedRing(ctx context.Context, req Request) (*Result, error) {
 
 	e.mu.Lock()
 	delete(e.inflight, key)
-	e.misses++
-	if err == nil && e.cache.add(key, ring, *info) {
-		e.evicted++
-	}
+	evicted := err == nil && e.cache.add(key, ring, *info)
 	e.mu.Unlock()
+	e.misses.Inc()
+	if evicted {
+		e.evicted.Inc()
+	}
 
 	if err != nil {
 		return nil, err
@@ -286,15 +287,12 @@ type CacheStats struct {
 	Capacity int   `json:"capacity"`
 }
 
-// CacheStats returns a snapshot of the engine's cache counters.
+// CacheStats reads the engine's cache counters from the registry.
 func (e *Engine) CacheStats() CacheStats {
+	s := CacheStats{Hits: e.hits.Value(), Misses: e.misses.Value(), Evicted: e.evicted.Value()}
 	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.cacheStatsLocked()
-}
-
-func (e *Engine) cacheStatsLocked() CacheStats {
-	s := CacheStats{Hits: e.hits, Misses: e.misses, Evicted: e.evicted, Entries: e.cache.len()}
+	s.Entries = e.cache.len()
+	e.mu.Unlock()
 	if e.cache != nil {
 		s.Capacity = e.cache.capacity
 	}
@@ -357,9 +355,11 @@ func (k RepairKind) String() string {
 	return "unknown"
 }
 
-// SessionStats aggregates fault-event outcomes across every session
-// feeding this engine: how often incremental repair beat the full
-// re-embed path, in both lifecycle directions.
+// SessionStats is the JSON shape of the sessions section of /v1/stats:
+// fault-event outcomes across every session feeding this engine (how
+// often incremental repair beat the full re-embed path, in both
+// lifecycle directions), read from the session_repair_total and
+// fleet_replica_*_total registry counters.
 type SessionStats struct {
 	LocalRepairs int64 `json:"local_repairs"`
 	Reembeds     int64 `json:"reembeds"`
@@ -399,33 +399,15 @@ type SessionStats struct {
 }
 
 // RecordRepair accounts one session fault event and its end-to-end
-// latency.  The session subsystem calls it for every absorbed fault
-// batch so /v1/stats surfaces repair-vs-recompute behavior next to the
-// cache counters, and the per-tier histograms feed /metrics.
+// latency in the per-tier session_repair_total counter and
+// session_repair_ns histogram, which feed both /v1/stats and /metrics.
+// The session subsystem calls it for every absorbed fault batch.
+//
+//ringlint:noalloc
 func (e *Engine) RecordRepair(kind RepairKind, elapsed time.Duration) {
 	if kind >= 0 && kind < numRepairKinds {
 		e.repairNs[kind].Observe(int64(elapsed))
 		e.repairTotal[kind].Inc()
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	switch kind {
-	case RepairLocal:
-		e.sessions.LocalRepairs++
-	case RepairReembed:
-		e.sessions.Reembeds++
-	case RepairNoop:
-		e.sessions.Noops++
-	case RepairRejected:
-		e.sessions.Rejected++
-	case RepairHealLocal:
-		e.sessions.LocalHeals++
-	case RepairHealReembed:
-		e.sessions.HealReembeds++
-	case RepairSplice:
-		e.sessions.SpliceRepairs++
-	case RepairSpliceHeal:
-		e.sessions.SpliceHeals++
 	}
 }
 
@@ -441,12 +423,12 @@ func (e *Engine) RecordJournalError() {
 // RecordReplication accounts one replica journal append by the fleet's
 // replicated store, so /v1/stats surfaces replication health (appends
 // vs errors) next to the repair counters.
+//
+//ringlint:noalloc
 func (e *Engine) RecordReplication(ok bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.sessions.ReplicaAppends++
+	e.replicaAppends.Inc()
 	if !ok {
-		e.sessions.ReplicaErrors++
+		e.replicaErrors.Inc()
 	}
 }
 
@@ -473,9 +455,19 @@ type EngineStats struct {
 // Misses but contribute no latency sample, so LatencySamples can trail
 // Requests).
 func (e *Engine) Stats() EngineStats {
-	e.mu.Lock()
-	s := EngineStats{CacheStats: e.cacheStatsLocked(), Sessions: e.sessions}
-	e.mu.Unlock()
+	total := func(kind RepairKind) int64 { return e.repairTotal[kind].Value() }
+	s := EngineStats{CacheStats: e.CacheStats(), Sessions: SessionStats{
+		LocalRepairs:   total(RepairLocal),
+		Reembeds:       total(RepairReembed),
+		Noops:          total(RepairNoop),
+		Rejected:       total(RepairRejected),
+		LocalHeals:     total(RepairHealLocal),
+		HealReembeds:   total(RepairHealReembed),
+		SpliceRepairs:  total(RepairSplice),
+		SpliceHeals:    total(RepairSpliceHeal),
+		ReplicaAppends: e.replicaAppends.Value(),
+		ReplicaErrors:  e.replicaErrors.Value(),
+	}}
 	if ringChanging := s.Sessions.LocalRepairs + s.Sessions.SpliceRepairs + s.Sessions.Reembeds; ringChanging > 0 {
 		s.Sessions.PatchHitRate = float64(s.Sessions.LocalRepairs+s.Sessions.SpliceRepairs) / float64(ringChanging)
 	}

@@ -428,7 +428,7 @@ func TestEngineStats(t *testing.T) {
 }
 
 func TestRecordRepairFeedsRegistry(t *testing.T) {
-	eng := New(Options{})
+	eng := New(Options{CacheSize: 2})
 	eng.RecordRepair(RepairLocal, 5*time.Microsecond)
 	eng.RecordRepair(RepairLocal, 7*time.Microsecond)
 	eng.RecordRepair(RepairReembed, time.Millisecond)
@@ -439,6 +439,55 @@ func TestRecordRepairFeedsRegistry(t *testing.T) {
 	}
 	if got := snap.Counters[`session_repair_total{tier="reembed"}`]; got != 1 {
 		t.Errorf("reembed counter = %d, want 1", got)
+	}
+
+	// Mixed traffic over every kind, replication and the cache: each
+	// field of the /v1/stats views must read the registry counter that
+	// owns it.
+	for kind := RepairKind(0); kind < numRepairKinds; kind++ {
+		for i := 0; i <= int(kind); i++ {
+			eng.RecordRepair(kind, time.Microsecond)
+		}
+	}
+	for _, ok := range []bool{true, true, false, true, false} {
+		eng.RecordReplication(ok)
+	}
+	ctx := context.Background()
+	for _, f := range []int{0, 1, 0, 2, 1, 3} { // 5 misses, 1 hit, 3 evictions
+		if _, err := eng.EmbedRing(ctx, Request{Spec: "debruijn(4,2)", Faults: topology.NodeFaults(f)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s := eng.Stats()
+	cs := eng.CacheStats()
+	snap = eng.Registry().Snapshot()
+	tier := func(kind RepairKind) string { return `session_repair_total{tier="` + kind.String() + `"}` }
+	for _, c := range []struct {
+		field  string
+		got    int64
+		metric string
+		want   int64
+	}{
+		{"Sessions.LocalRepairs", s.Sessions.LocalRepairs, tier(RepairLocal), 3},
+		{"Sessions.Reembeds", s.Sessions.Reembeds, tier(RepairReembed), 3},
+		{"Sessions.Noops", s.Sessions.Noops, tier(RepairNoop), 3},
+		{"Sessions.Rejected", s.Sessions.Rejected, tier(RepairRejected), 4},
+		{"Sessions.LocalHeals", s.Sessions.LocalHeals, tier(RepairHealLocal), 5},
+		{"Sessions.HealReembeds", s.Sessions.HealReembeds, tier(RepairHealReembed), 6},
+		{"Sessions.SpliceRepairs", s.Sessions.SpliceRepairs, tier(RepairSplice), 7},
+		{"Sessions.SpliceHeals", s.Sessions.SpliceHeals, tier(RepairSpliceHeal), 8},
+		{"Sessions.ReplicaAppends", s.Sessions.ReplicaAppends, "fleet_replica_appends_total", 5},
+		{"Sessions.ReplicaErrors", s.Sessions.ReplicaErrors, "fleet_replica_errors_total", 2},
+		{"CacheStats.Hits", cs.Hits, "engine_cache_hits_total", 1},
+		{"CacheStats.Misses", cs.Misses, "engine_cache_misses_total", 5},
+		{"CacheStats.Evicted", cs.Evicted, "engine_cache_evicted_total", 3},
+	} {
+		if c.got != c.want || snap.Counters[c.metric] != c.want {
+			t.Errorf("%s = %d, %s = %d, want both %d", c.field, c.got, c.metric, snap.Counters[c.metric], c.want)
+		}
+	}
+	if got := snap.Gauges["engine_cache_entries"]; got != int64(cs.Entries) || cs.Entries != 2 {
+		t.Errorf("engine_cache_entries = %d, CacheStats.Entries = %d, want both 2", got, cs.Entries)
 	}
 }
 

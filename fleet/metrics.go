@@ -11,9 +11,10 @@ import (
 	"debruijnring/obs"
 )
 
-// initMetrics wires the router's own registry: per-group routing
-// counters mirrored from live routing state at scrape time, plus the
-// draining-response counter bumped on the hot path.  The fleet-wide
+// initMetrics wires the router's own registry: the per-group request
+// and promotion counters (resolved by newGroup) and the
+// draining-response counter are bumped where they happen; a collector
+// mirrors only the per-group down gauge at scrape time.  The fleet-wide
 // view served at /metrics and /v1/metrics merges this registry with
 // every active shard's snapshot — see FleetMetrics.
 func (rt *Router) initMetrics() {
@@ -30,13 +31,8 @@ func (rt *Router) initMetrics() {
 		}
 		for _, name := range view.order {
 			g := view.groups[name]
-			g.mu.Lock()
-			promotions, down := g.promotions, g.down
-			g.mu.Unlock()
-			r.Counter("fleet_router_requests_total", "group", name).Set(g.requests.Load())
-			r.Counter("fleet_router_promotions_total", "group", name).Set(int64(promotions))
 			var dv int64
-			if down {
+			if g.isDown() {
 				dv = 1
 			}
 			r.Gauge("fleet_router_group_down", "group", name).Set(dv)

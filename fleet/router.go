@@ -59,15 +59,17 @@ type RouterOptions struct {
 
 // group is one ShardGroup's live routing state.
 type group struct {
-	mu         sync.Mutex
-	cfg        ShardGroup // mutable: re-replication resets primary/replica
-	active     string     // base URL currently serving the group's keyspace
-	promoted   bool
-	promotions int  // lifetime promotions (survives full-strength resets)
-	fails      int  // consecutive health-check failures of active
-	down       bool // active failed FailAfter times and no promotion is possible
+	mu       sync.Mutex
+	cfg      ShardGroup // mutable: re-replication resets primary/replica
+	active   string     // base URL currently serving the group's keyspace
+	promoted bool
+	fails    int  // consecutive health-check failures of active
+	down     bool // active failed FailAfter times and no promotion is possible
 
-	requests atomic.Int64
+	// Lifetime counters in the router's registry, labeled by group:
+	// fleet_router_requests_total and fleet_router_promotions_total
+	// (promotions survive full-strength resets).
+	requests, promotions *obs.Counter
 }
 
 func (g *group) activeURL() string {
@@ -190,7 +192,7 @@ func NewRouter(groups []ShardGroup, opts RouterOptions) (*Router, error) {
 		if _, dup := view.groups[cfg.Name]; dup {
 			return nil, fmt.Errorf("fleet: duplicate group name %q", cfg.Name)
 		}
-		g := &group{cfg: cfg, active: cfg.Primary}
+		g := rt.newGroup(cfg)
 		view.groups[cfg.Name] = g
 		view.proxies[cfg.Name] = rt.newProxy(g)
 		names = append(names, cfg.Name)
@@ -203,6 +205,17 @@ func NewRouter(groups []ShardGroup, opts RouterOptions) (*Router, error) {
 	rt.wg.Add(1)
 	go rt.healthLoop()
 	return rt, nil
+}
+
+// newGroup builds a group serving from its primary, with its counters
+// resolved in the router's registry.
+func (rt *Router) newGroup(cfg ShardGroup) *group {
+	return &group{
+		cfg:        cfg,
+		active:     cfg.Primary,
+		requests:   rt.metrics.Counter("fleet_router_requests_total", "group", cfg.Name),
+		promotions: rt.metrics.Counter("fleet_router_promotions_total", "group", cfg.Name),
+	}
 }
 
 func validateGroup(cfg ShardGroup) error {
@@ -436,7 +449,7 @@ func (rt *Router) proxyTo(view *routing, groupName string, w http.ResponseWriter
 			fmt.Errorf("fleet: shard group %s is down (no replica to promote)", groupName))
 		return
 	}
-	g.requests.Add(1)
+	g.requests.Inc()
 	view.proxies[groupName].ServeHTTP(w, r)
 }
 
@@ -484,10 +497,10 @@ func (rt *Router) serveFleetStatus(w http.ResponseWriter) {
 			Replica:    g.cfg.Replica,
 			Active:     g.active,
 			Promoted:   g.promoted,
-			Promotions: g.promotions,
+			Promotions: int(g.promotions.Value()),
 			Down:       g.down,
 			Fails:      g.fails,
-			Requests:   g.requests.Load(),
+			Requests:   g.requests.Value(),
 		})
 		g.mu.Unlock()
 	}
@@ -601,7 +614,7 @@ func (rt *Router) checkGroup(g *group) {
 	}
 	g.active = replica
 	g.promoted = true
-	g.promotions++
+	g.promotions.Inc()
 	g.fails = 0
 	g.down = false
 	g.mu.Unlock()
@@ -801,7 +814,7 @@ func (rt *Router) AddShard(cfg ShardGroup) error {
 	}
 
 	// Flip: copy-on-write a new routing view including the new group.
-	g := &group{cfg: cfg, active: cfg.Primary}
+	g := rt.newGroup(cfg)
 	next := &routing{
 		hash:    pending,
 		order:   order,

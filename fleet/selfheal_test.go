@@ -210,7 +210,7 @@ func TestStalePrimaryFencesAndDemotes(t *testing.T) {
 	// lifted, process serving as a clean standby.
 	close(release)
 	deadline := time.Now().Add(5 * time.Second)
-	for primaryShard.demotions.Load() == 0 || primaryShard.repl.Fenced() {
+	for primaryShard.demotions.Value() == 0 || primaryShard.repl.Fenced() {
 		if time.Now().After(deadline) {
 			t.Fatal("demotion never completed")
 		}

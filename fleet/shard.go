@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"debruijnring/engine"
 	"debruijnring/obs"
@@ -30,9 +29,8 @@ type ShardConfig struct {
 	// journals cold until the router promotes it.  A primary restores
 	// its own journals at startup as before.
 	Standby bool
-	// SnapshotEvery / EventBuffer are passed to the session manager.
+	// SnapshotEvery is passed to the session manager.
 	SnapshotEvery int
-	EventBuffer   int
 	// Workers / EmbedWorkers / CacheSize are passed to the engine
 	// (EmbedWorkers bounds the intra-embed BFS parallelism of adapters
 	// that shard internally; 0 = GOMAXPROCS, 1 = serial).
@@ -64,7 +62,7 @@ type Shard struct {
 	repl  *ReplicatedStore // the manager's store; nil without a journal
 	logf  func(string, ...any)
 
-	demotions atomic.Int64
+	demotions *obs.Counter // fleet_shard_demotions_total
 
 	// handedOff names sessions released by a rebalance hand-off whose
 	// journals are still here: a straggling request that raced the
@@ -101,8 +99,8 @@ func NewShard(cfg ShardConfig) (*Shard, error) {
 	mgr := session.NewManager(eng, session.Options{
 		Store:         store,
 		SnapshotEvery: cfg.SnapshotEvery,
-		EventBuffer:   cfg.EventBuffer,
 	})
+	reg := eng.Registry()
 	s := &Shard{
 		Engine:    eng,
 		Sessions:  mgr,
@@ -112,25 +110,24 @@ func NewShard(cfg ShardConfig) (*Shard, error) {
 		repl:      repl,
 		logf:      logf,
 		handedOff: make(map[string]bool),
+		demotions: reg.Counter("fleet_shard_demotions_total"),
 	}
 	s.Replica.Gate = s.Gate
 	if repl != nil {
 		repl.OnFenced = s.demote
 	}
-	// Mirror the shard's control-plane state into the engine's registry
-	// at scrape time, so /metrics (and the router's fleet-wide merge)
-	// carries session counts, replication health and fence/demotion
-	// counts alongside the engine's own families.  Summed across shards
-	// by the router's merge: fleet_replica_state{state="ok"} then counts
-	// the shards currently in that state.
-	reg := eng.Registry()
+	// Mirror the shard's control-plane state (session count, replication
+	// health) into gauges of the engine's registry at scrape time, so
+	// /metrics (and the router's fleet-wide merge) carries it next to
+	// the engine's own families and the demotion counter.  Summed across
+	// shards by the router's merge: fleet_replica_state{state="ok"} then
+	// counts the shards currently in that state.
 	reg.SetHelp("fleet_shard_sessions", "Live sessions on this shard.")
 	reg.SetHelp("fleet_shard_demotions_total", "Times this shard fenced itself and demoted to a clean standby.")
 	reg.SetHelp("fleet_replica_lag", "Events acked locally but not yet on the replica (catch-up backlog).")
 	reg.SetHelp("fleet_replica_state", "Shards currently in each replication state (1 per shard).")
 	reg.AddCollector(func(r *obs.Registry) {
 		r.Gauge("fleet_shard_sessions").Set(int64(len(mgr.List())))
-		r.Counter("fleet_shard_demotions_total").Set(s.demotions.Load())
 		rs := s.Replication()
 		r.Gauge("fleet_replica_lag").Set(rs.Lag)
 		for _, st := range []ReplicaState{ReplicaOff, ReplicaOK, ReplicaCatchup} {
@@ -148,7 +145,7 @@ func NewShard(cfg ShardConfig) (*Shard, error) {
 			logf("fleet: replica %s is already promoted; starting as a clean standby instead of restoring", cfg.ReplicateTo)
 			s.wipeJournals()
 			repl.SetTarget("")
-			s.demotions.Add(1)
+			s.demotions.Inc()
 			return s, nil
 		}
 		restored, errs := mgr.Restore()
@@ -188,7 +185,7 @@ func (s *Shard) Replication() ReplicationStatus {
 // replication target is cleared, which also lifts the fence so replica
 // ingest can stream this process back into standby duty.
 func (s *Shard) demote() {
-	s.demotions.Add(1)
+	s.demotions.Inc()
 	s.logf("fleet: demoting to clean standby: closing sessions and discarding superseded journals")
 	for _, sess := range s.Sessions.List() {
 		if err := s.Sessions.Delete(sess.Name()); err != nil {
@@ -424,7 +421,7 @@ func (s *Shard) handleReplicationStatus(w http.ResponseWriter, r *http.Request) 
 	writeReplicaJSON(w, replicationStatusResponse{
 		ReplicationStatus: s.Replication(),
 		Epoch:             s.Gate.Current(),
-		Demotions:         s.demotions.Load(),
+		Demotions:         s.demotions.Value(),
 	})
 }
 
@@ -453,7 +450,7 @@ func (s *Shard) handleTarget(w http.ResponseWriter, r *http.Request) {
 	writeReplicaJSON(w, replicationStatusResponse{
 		ReplicationStatus: s.repl.Status(),
 		Epoch:             s.Gate.Current(),
-		Demotions:         s.demotions.Load(),
+		Demotions:         s.demotions.Value(),
 	})
 }
 

@@ -17,8 +17,7 @@ import (
 	"sync/atomic"
 )
 
-// Counter is a monotonically increasing metric.  (Set exists for
-// scrape-time mirroring of externally maintained totals.)
+// Counter is a monotonically increasing metric.
 type Counter struct{ v atomic.Int64 }
 
 // Add increments the counter by n.
@@ -34,14 +33,6 @@ func (c *Counter) Add(n int64) {
 //
 //ringlint:noalloc
 func (c *Counter) Inc() { c.Add(1) }
-
-// Set overwrites the counter; for collectors mirroring totals owned
-// elsewhere, not for hot-path use.
-func (c *Counter) Set(n int64) {
-	if c != nil {
-		c.v.Store(n)
-	}
-}
 
 // Value returns the current count.
 func (c *Counter) Value() int64 {
@@ -208,7 +199,8 @@ func (r *Registry) SetHelp(family, text string) {
 
 // AddCollector registers fn to run at every Snapshot/WriteText, for
 // mirroring state owned elsewhere (cache sizes, replication lag) into
-// the registry at scrape time.
+// gauges at scrape time.  Counters are owned by the code that bumps
+// them and are never written by a collector.
 func (r *Registry) AddCollector(fn func(*Registry)) {
 	if r == nil || fn == nil {
 		return

@@ -224,14 +224,16 @@ func (h *handler) applyFaults(w http.ResponseWriter, r *http.Request, apply func
 }
 
 // TraceResponse is the GET /v1/sessions/{name}/trace payload: the
-// session's retained repair traces, oldest first.
+// repair traces of the fault/heal events in the session's watch
+// buffer, oldest first.
 type TraceResponse struct {
 	Name    string        `json:"name"`
 	Records []TraceRecord `json:"records"`
 }
 
-// trace serves the session's retained per-event repair traces: tier
-// descents with outcomes, touched-structure counts and latencies.
+// trace serves the session's per-event repair traces (see
+// Session.Traces): tier descents with outcomes, touched-structure
+// counts and latencies.
 // ?limit=N bounds the result to the N most recent records.
 func (h *handler) trace(w http.ResponseWriter, r *http.Request) {
 	s, ok := h.session(w, r)

@@ -282,9 +282,12 @@ func TestHTTPRejectedBatchReturnsEvent(t *testing.T) {
 // TestHTTPTraceEndpoint drives fault and heal batches through a De
 // Bruijn session and asserts the trace endpoint reports the tier
 // descents: every ring-changing event retains a record whose tiers
-// name the ladder rungs that ran, and ?limit bounds the result.
+// name the ladder rungs that ran, and ?limit bounds the result.  After
+// a restore, the trace is the replayed fault/heal events of the watch
+// buffer.
 func TestHTTPTraceEndpoint(t *testing.T) {
-	ts, _ := newTestServer(t, Options{})
+	dir := t.TempDir()
+	ts, _ := newTestServer(t, Options{Dir: dir})
 	c := &Client{Base: ts.URL}
 	ctx := context.Background()
 
@@ -342,5 +345,55 @@ func TestHTTPTraceEndpoint(t *testing.T) {
 	limited, err := c.Trace(ctx, "tr", 1)
 	if err != nil || len(limited.Records) != 1 || limited.Records[0].Kind != "heal" {
 		t.Fatalf("limited trace = %+v, %v", limited, err)
+	}
+
+	// Restore: a fresh manager on the same journal (no Close, so no
+	// final snapshot: every event is replayed) serves the replayed
+	// fault/heal events, each with the replay's own tiers and latency.
+	if _, err := c.AddFaults(ctx, "tr", FaultsRequest{NodeFaults: []string{"000011"}}); err != nil {
+		t.Fatal(err)
+	}
+	ts2, m2 := newTestServer(t, Options{Dir: dir})
+	if restored, errs := m2.Restore(); len(errs) > 0 || len(restored) != 1 {
+		t.Fatalf("restore = %d sessions, errs %v", len(restored), errs)
+	}
+	s2, _ := m2.Get("tr")
+	evs, _ := s2.EventsSince(0, 0, nil)
+	var want []Event
+	for _, ev := range evs {
+		if ev.Kind == "fault" || ev.Kind == "heal" {
+			want = append(want, ev)
+		}
+	}
+	if len(want) != 3 {
+		t.Fatalf("restored watch buffer holds %d fault/heal events, want 3: %+v", len(want), evs)
+	}
+	c2 := &Client{Base: ts2.URL}
+	for _, limit := range []int{0, 2} {
+		rt, err := c2.Trace(ctx, "tr", limit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		exp := want
+		if limit > 0 {
+			exp = want[len(want)-limit:]
+		}
+		if len(rt.Records) != len(exp) {
+			t.Fatalf("restored trace (limit %d) = %d records, want %d", limit, len(rt.Records), len(exp))
+		}
+		for i, rec := range rt.Records {
+			ev := exp[i]
+			if rec.Seq != ev.Seq || rec.Kind != ev.Kind || rec.Repair != ev.Repair ||
+				rec.RingLength != ev.RingLength || rec.FaultCount != ev.FaultCount ||
+				rec.ElapsedNs != ev.ElapsedNs || len(rec.Tiers) != len(ev.Tiers) || !rec.Time.Equal(ev.Time) {
+				t.Errorf("restored trace (limit %d) record %d = %+v, want event %+v", limit, i, rec, ev)
+			}
+			if i > 0 && rec.Seq <= rt.Records[i-1].Seq {
+				t.Errorf("restored trace (limit %d) out of Seq order at %d", limit, i)
+			}
+			if len(rec.Tiers) == 0 || rec.ElapsedNs <= 0 {
+				t.Errorf("restored record seq %d lacks the replay's tiers/latency: %+v", rec.Seq, rec)
+			}
+		}
 	}
 }

@@ -27,13 +27,6 @@ type Options struct {
 	// Restore; between them replay re-runs the deterministic repair
 	// decisions and verifies every ring hash.
 	SnapshotEvery int
-	// EventBuffer is the per-session count of retained events served to
-	// watchers (default 256).
-	EventBuffer int
-	// TraceBuffer is the per-session count of retained repair trace
-	// records served by GET /v1/sessions/{name}/trace (default 128;
-	// negative disables trace retention).
-	TraceBuffer int
 }
 
 // Manager owns the live sessions of one process and their journals.
@@ -52,12 +45,6 @@ type Manager struct {
 func NewManager(eng *engine.Engine, opts Options) *Manager {
 	if opts.SnapshotEvery <= 0 {
 		opts.SnapshotEvery = 32
-	}
-	if opts.EventBuffer <= 0 {
-		opts.EventBuffer = 256
-	}
-	if opts.TraceBuffer == 0 {
-		opts.TraceBuffer = 128
 	}
 	store := opts.Store
 	if store == nil && opts.Dir != "" {

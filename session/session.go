@@ -149,14 +149,10 @@ type Session struct {
 	sinceSnap int
 	closed    bool
 
-	// events is a bounded buffer of recent events for watchers; notify
-	// is closed and replaced on every publish.
+	// events is a bounded buffer of recent events for watchers and the
+	// trace endpoint; notify is closed and replaced on every publish.
 	events []Event
 	notify chan struct{}
-
-	// traces is a bounded buffer of per-event repair traces for the
-	// trace endpoint (live events only; replay does not refill it).
-	traces []TraceRecord
 }
 
 // Name returns the session's unique name.
@@ -301,185 +297,143 @@ func (s *Session) maybeSnapshotLocked(ev *Event) {
 func (s *Session) applyFaultsLocked(add topology.FaultSet, record bool) (*Event, error) {
 	start := time.Now()
 	add = add.Canonical()
-	newOnly := add.Minus(s.faults)
 	combined := s.faults.Union(add)
-
 	ev := &Event{
 		Kind:       "fault",
 		AddNodes:   append([]int(nil), add.Nodes...),
 		AddEdges:   encodeEdges(add.Edges),
 		FaultCount: len(combined.Nodes) + len(combined.Edges),
 	}
-
-	var ring []int
-	var embedErr error
-	switch {
-	case newOnly.IsEmpty():
-		ev.Repair = "noop"
-	default:
-		if s.withinToleranceLocked(combined) {
-			r, outcome := s.patcher.Patch(newOnly)
-			ev.Tiers = tierTraces(s.patcher)
-			if outcome == repair.Noop {
-				ev.Repair = "noop"
-			} else if (outcome == repair.Patched || outcome == repair.Reordered || outcome == repair.Spliced) &&
-				topology.VerifyRing(s.net, r, combined) &&
-				len(r) >= s.lowerBoundFor(combined) {
-				ev.Repair = "local"
-				if outcome == repair.Spliced {
-					ev.Repair = "splice"
-				}
-				ring = r
-			}
-		}
-		if ev.Repair == "" {
-			embedStart := time.Now()
-			r, info, err := s.patcher.Embed(combined)
-			step := TierTrace{Tier: "reembed", Outcome: "ok", ElapsedNs: time.Since(embedStart).Nanoseconds()}
-			if err != nil {
-				embedErr = err
-				step.Outcome = "error"
-			} else {
-				ev.Repair = "reembed"
-				ring = r
-				s.rounds = info.Rounds
-			}
-			ev.Tiers = append(ev.Tiers, step)
-		}
-	}
-
-	if embedErr != nil {
-		// Neither patch nor re-embed absorbed the batch: keep the old
-		// state, journal the rejection (replay must take the same path).
-		ev.Repair = "rejected"
-		ev.Error = embedErr.Error()
-		ev.RingLength = len(s.ring)
-		ev.RingHash = ringHash(s.ring)
-		s.finishEventLocked(ev, start, record, engine.RepairRejected)
-		s.stats.Rejected++
-		return ev, embedErr
-	}
-
-	if ring != nil {
-		ev.Removed, ev.Added, ev.DeltaTruncated = ringDelta(s.ring, ring)
-		s.ring = ring
-	}
-	s.faults = combined
-	ev.RingLength = len(s.ring)
-	ev.LowerBound = s.lowerBoundFor(combined)
-	ev.RingHash = ringHash(s.ring)
-
-	var kind engine.RepairKind
-	switch ev.Repair {
-	case "local":
-		kind = engine.RepairLocal
-		s.stats.LocalRepairs++
-	case "splice":
-		kind = engine.RepairSplice
-		s.stats.SpliceRepairs++
-	case "reembed":
-		kind = engine.RepairReembed
-		s.stats.Reembeds++
-	default:
-		kind = engine.RepairNoop
-		s.stats.Noops++
-	}
-	s.finishEventLocked(ev, start, record, kind)
-	return ev, nil
+	ring, err := s.ladderLocked(ev, add.Minus(s.faults), combined)
+	return s.settleLocked(ev, ring, combined, err, start, record)
 }
 
 // applyHealLocked runs the repair lifecycle for one validated heal
-// batch — the inverse of applyFaultsLocked.  With record=false (journal
-// replay) nothing is written and the engine's counters stay untouched;
-// the decision path is deterministic, so replay reproduces the live
-// rings exactly.
+// batch — the inverse of applyFaultsLocked, under the same replay
+// contract.
 func (s *Session) applyHealLocked(remove topology.FaultSet, record bool) (*Event, error) {
 	start := time.Now()
 	remove = remove.Canonical()
 	reduced := s.faults.Minus(remove)
-	healed := s.faults.Minus(reduced) // the part of remove actually faulty
 	ev := &Event{
 		Kind:        "heal",
 		RemoveNodes: append([]int(nil), remove.Nodes...),
 		RemoveEdges: encodeEdges(remove.Edges),
 		FaultCount:  len(reduced.Nodes) + len(reduced.Edges),
 	}
+	// Only the part of remove that was actually faulty heals anything.
+	ring, err := s.ladderLocked(ev, s.faults.Minus(reduced), reduced)
+	return s.settleLocked(ev, ring, reduced, err, start, record)
+}
 
-	var ring []int
-	var embedErr error
-	switch {
-	case healed.IsEmpty():
+// ladderLocked serves one fault or heal event (ev.Kind picks Patch or
+// Unpatch) that changes the fault set by delta to target: noop when
+// delta is empty, else the patcher's local tiers when within
+// tolerance, else the re-embed fallback.  It sets ev.Repair and
+// ev.Tiers and returns the new ring (nil = unchanged).  A non-nil
+// error means every tier failed and the event is a rejection.
+func (s *Session) ladderLocked(ev *Event, delta, target topology.FaultSet) ([]int, error) {
+	if delta.IsEmpty() {
 		ev.Repair = "noop"
-	default:
-		if s.withinToleranceLocked(reduced) {
-			r, outcome := s.patcher.Unpatch(healed)
-			ev.Tiers = tierTraces(s.patcher)
-			if outcome == repair.Noop {
-				ev.Repair = "noop"
-			} else if (outcome == repair.Readmitted || outcome == repair.Spliced) &&
-				topology.VerifyRing(s.net, r, reduced) &&
-				len(r) >= s.lowerBoundFor(reduced) {
+		return nil, nil
+	}
+	if s.withinToleranceLocked(target) {
+		var r []int
+		var outcome repair.Outcome
+		if ev.Kind == "heal" {
+			r, outcome = s.patcher.Unpatch(delta)
+		} else {
+			r, outcome = s.patcher.Patch(delta)
+		}
+		ev.Tiers = tierTraces(s.patcher)
+		switch outcome {
+		case repair.Noop:
+			ev.Repair = "noop"
+			return nil, nil
+		case repair.Patched, repair.Reordered, repair.Readmitted, repair.Spliced:
+			// Patch yields Patched/Reordered, Unpatch Readmitted, either
+			// Spliced; the candidate must still pass verification.
+			if topology.VerifyRing(s.net, r, target) && len(r) >= s.lowerBoundFor(target) {
 				ev.Repair = "local"
 				if outcome == repair.Spliced {
 					ev.Repair = "splice"
 				}
-				ring = r
+				return r, nil
 			}
-		}
-		if ev.Repair == "" {
-			embedStart := time.Now()
-			r, info, err := s.patcher.Embed(reduced)
-			step := TierTrace{Tier: "reembed", Outcome: "ok", ElapsedNs: time.Since(embedStart).Nanoseconds()}
-			if err != nil {
-				embedErr = err
-				step.Outcome = "error"
-			} else {
-				ev.Repair = "reembed"
-				ring = r
-				s.rounds = info.Rounds
-			}
-			ev.Tiers = append(ev.Tiers, step)
 		}
 	}
+	return s.reembedLocked(ev, target)
+}
 
+// reembedLocked is the last rung of the ladder: a full re-embed around
+// target, traced as the "reembed" tier.
+func (s *Session) reembedLocked(ev *Event, target topology.FaultSet) ([]int, error) {
+	embedStart := time.Now()
+	r, info, err := s.patcher.Embed(target)
+	step := TierTrace{Tier: "reembed", Outcome: "ok", ElapsedNs: time.Since(embedStart).Nanoseconds()}
+	if err != nil {
+		step.Outcome = "error"
+	} else {
+		ev.Repair = "reembed"
+		s.rounds = info.Rounds
+	}
+	ev.Tiers = append(ev.Tiers, step)
+	return r, err
+}
+
+// settleLocked is the shared tail of a fault or heal event.  On
+// embedErr the batch is rejected: the session keeps its previous ring
+// and fault set and the rejection is still journaled (replay must take
+// the same path).  Otherwise ring (nil = unchanged) and target become
+// the session state.  Either way the event gets its ring bookkeeping,
+// is tallied and finished.
+func (s *Session) settleLocked(ev *Event, ring []int, target topology.FaultSet, embedErr error, start time.Time, record bool) (*Event, error) {
 	if embedErr != nil {
-		// Neither un-patch nor re-embed absorbed the heal: keep the old
-		// state, journal the rejection (replay must take the same path).
 		ev.Repair = "rejected"
 		ev.Error = embedErr.Error()
-		ev.RingLength = len(s.ring)
-		ev.RingHash = ringHash(s.ring)
-		s.finishEventLocked(ev, start, record, engine.RepairRejected)
-		s.stats.Rejected++
-		return ev, embedErr
+	} else {
+		if ring != nil {
+			ev.Removed, ev.Added, ev.DeltaTruncated = ringDelta(s.ring, ring)
+			s.ring = ring
+		}
+		s.faults = target
+		ev.LowerBound = s.lowerBoundFor(target)
 	}
-
-	if ring != nil {
-		ev.Removed, ev.Added, ev.DeltaTruncated = ringDelta(s.ring, ring)
-		s.ring = ring
-	}
-	s.faults = reduced
 	ev.RingLength = len(s.ring)
-	ev.LowerBound = s.lowerBoundFor(reduced)
 	ev.RingHash = ringHash(s.ring)
+	s.finishEventLocked(ev, start, record, s.stats.tally(ev.Kind == "heal", ev.Repair))
+	return ev, embedErr
+}
 
-	var kind engine.RepairKind
-	switch ev.Repair {
-	case "local":
-		kind = engine.RepairHealLocal
-		s.stats.LocalHeals++
-	case "splice":
-		kind = engine.RepairSpliceHeal
-		s.stats.SpliceHeals++
-	case "reembed":
-		kind = engine.RepairHealReembed
-		s.stats.HealReembeds++
-	default:
-		kind = engine.RepairNoop
-		s.stats.Noops++
+// tally bumps the counter for one settled event, by direction and
+// served repair, and returns the matching engine RepairKind.  It is
+// the one place the (direction, outcome) → (kind, stat) map lives.
+func (st *Stats) tally(heal bool, served string) engine.RepairKind {
+	switch {
+	case served == "rejected":
+		st.Rejected++
+		return engine.RepairRejected
+	case served == "local" && heal:
+		st.LocalHeals++
+		return engine.RepairHealLocal
+	case served == "local":
+		st.LocalRepairs++
+		return engine.RepairLocal
+	case served == "splice" && heal:
+		st.SpliceHeals++
+		return engine.RepairSpliceHeal
+	case served == "splice":
+		st.SpliceRepairs++
+		return engine.RepairSplice
+	case served == "reembed" && heal:
+		st.HealReembeds++
+		return engine.RepairHealReembed
+	case served == "reembed":
+		st.Reembeds++
+		return engine.RepairReembed
 	}
-	s.finishEventLocked(ev, start, record, kind)
-	return ev, nil
+	st.Noops++
+	return engine.RepairNoop
 }
 
 // lowerBoundFor computes the De Bruijn dⁿ − nf bound for a prospective
@@ -498,8 +452,8 @@ func (s *Session) lowerBoundFor(f topology.FaultSet) int {
 }
 
 // finishEventLocked stamps, sequences, publishes and (when record is
-// set) journals one event, retains its repair trace and feeds the
-// engine's session counters and per-tier latency histograms.
+// set) journals one event and feeds the engine's per-tier repair
+// counters and latency histograms.
 func (s *Session) finishEventLocked(ev *Event, start time.Time, record bool, kind engine.RepairKind) {
 	s.seq++
 	ev.Seq = s.seq
@@ -509,7 +463,6 @@ func (s *Session) finishEventLocked(ev *Event, start time.Time, record bool, kin
 	s.sinceSnap++
 	s.publishLocked(*ev)
 	if record {
-		s.recordTraceLocked(ev)
 		s.appendJournal(*ev)
 		if s.mgr != nil && s.mgr.eng != nil {
 			s.mgr.eng.RecordRepair(kind, time.Duration(ev.ElapsedNs))
@@ -532,11 +485,15 @@ func (s *Session) appendJournal(ev Event) {
 	}
 }
 
+// eventBuffer is the per-session count of retained events: the watch
+// backlog and the window /trace projects its records from.
+const eventBuffer = 256
+
 // publishLocked appends the event to the watch buffer and wakes every
 // waiting watcher.
 func (s *Session) publishLocked(ev Event) {
-	if limit := s.mgr.opts.EventBuffer; len(s.events) >= limit {
-		s.events = append(s.events[:0], s.events[len(s.events)-limit+1:]...)
+	if len(s.events) >= eventBuffer {
+		s.events = append(s.events[:0], s.events[len(s.events)-eventBuffer+1:]...)
 	}
 	s.events = append(s.events, ev)
 	close(s.notify)

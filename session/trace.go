@@ -43,10 +43,10 @@ func tierTraces(p repair.Patcher) []TierTrace {
 	return out
 }
 
-// TraceRecord is one retained per-session repair trace: the journal
-// outcome of a fault/heal event plus its tier descent.  Sessions keep
-// a bounded ring of the most recent records (Options.TraceBuffer),
-// served by GET /v1/sessions/{name}/trace.
+// TraceRecord is one per-session repair trace: the journal outcome of
+// a fault/heal event plus its tier descent, served by
+// GET /v1/sessions/{name}/trace.  It is a projection of the Event in
+// the session's watch buffer, not a separate record.
 type TraceRecord struct {
 	Seq        uint64      `json:"seq"`
 	Time       time.Time   `json:"time"`
@@ -59,38 +59,33 @@ type TraceRecord struct {
 	Error      string      `json:"error,omitempty"`
 }
 
-// recordTraceLocked retains one event's trace in the session's bounded
-// buffer.  Only live events are retained (journal replay rebuilds
-// rings, not observability history).
-func (s *Session) recordTraceLocked(ev *Event) {
-	limit := s.mgr.opts.TraceBuffer
-	if limit <= 0 {
-		return
-	}
-	if len(s.traces) >= limit {
-		s.traces = append(s.traces[:0], s.traces[len(s.traces)-limit+1:]...)
-	}
-	s.traces = append(s.traces, TraceRecord{
-		Seq:        ev.Seq,
-		Time:       ev.Time,
-		Kind:       ev.Kind,
-		Repair:     ev.Repair,
-		Tiers:      ev.Tiers,
-		RingLength: ev.RingLength,
-		FaultCount: ev.FaultCount,
-		ElapsedNs:  ev.ElapsedNs,
-		Error:      ev.Error,
-	})
-}
-
-// Traces returns the most recent retained trace records, oldest first.
-// limit <= 0 returns every retained record.
+// Traces projects the fault and heal events of the watch buffer into
+// trace records, oldest first; limit > 0 keeps only the most recent
+// limit.  Events rebuilt by journal replay are in the buffer too, so a
+// restored or promoted session serves them with the replay's own
+// Tiers and ElapsedNs.
 func (s *Session) Traces(limit int) []TraceRecord {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	recs := s.traces
+	var recs []TraceRecord
+	for _, ev := range s.events {
+		if ev.Kind != "fault" && ev.Kind != "heal" {
+			continue
+		}
+		recs = append(recs, TraceRecord{
+			Seq:        ev.Seq,
+			Time:       ev.Time,
+			Kind:       ev.Kind,
+			Repair:     ev.Repair,
+			Tiers:      ev.Tiers,
+			RingLength: ev.RingLength,
+			FaultCount: ev.FaultCount,
+			ElapsedNs:  ev.ElapsedNs,
+			Error:      ev.Error,
+		})
+	}
 	if limit > 0 && len(recs) > limit {
 		recs = recs[len(recs)-limit:]
 	}
-	return append([]TraceRecord(nil), recs...)
+	return recs
 }
