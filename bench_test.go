@@ -19,6 +19,7 @@ import (
 	"debruijnring/internal/repair"
 	"debruijnring/internal/word"
 	"debruijnring/obs"
+	"debruijnring/session"
 	"debruijnring/topology"
 )
 
@@ -182,6 +183,43 @@ func BenchmarkRepairUnpatch(b *testing.B) {
 		if _, o := p.Unpatch(batch); o != repair.Readmitted {
 			b.Fatalf("unpatch outcome %v", o)
 		}
+	}
+}
+
+// BenchmarkSessionLocalPair is the session (memory) rung of the
+// benchmark ladder: the same B(2,10) fault+heal pair on ring[100] as
+// BenchmarkRepairUnpatch, served through an in-memory session.Manager
+// with no store, so the two rungs differ only by the session layer
+// (validation, ring delta, ring hash, bound, event publish).  Both
+// directions must be served by the local tier.
+func BenchmarkSessionLocalPair(b *testing.B) {
+	m := session.NewManager(nil, session.Options{})
+	s, err := m.Create("bench", "debruijn(2,10)", topology.FaultSet{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	batch := topology.NodeFaults(s.Ring()[100])
+	serve := func(kind string, apply func(topology.FaultSet) (*session.Event, error)) {
+		ev, err := apply(batch)
+		if err != nil {
+			b.Fatalf("%s: %v", kind, err)
+		}
+		if ev.Repair != "local" {
+			b.Fatalf("%s served %q, want local", kind, ev.Repair)
+		}
+	}
+	pair := func() {
+		serve("fault", s.AddFaults)
+		serve("heal", s.RemoveFaults)
+	}
+	// Warm the patcher, the pooled delta set and the watch buffer so
+	// allocs/op is steady at the CI job's tiny -benchtime.
+	for i := 0; i < 3; i++ {
+		pair()
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pair()
 	}
 }
 

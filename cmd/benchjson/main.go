@@ -16,7 +16,10 @@
 // With -compare, the fresh run is checked against a baseline artifact:
 // any benchmark present in both whose ns/op regressed by more than
 // -tolerance (a fraction; 0.25 = +25%) fails the run with exit status 1
-// — the regression gate of the CI bench job.  Allocation counts are
+// — the regression gate of the CI bench job.  A baseline entry that the
+// -bench pattern selects but the run did not produce fails the gate
+// too, by name, so a renamed, deleted or newly failing benchmark cannot
+// drop out of the gate unnoticed.  Allocation counts are
 // machine-independent and gated strictly at the same tolerance; bytes
 // per op are gated at the separate, looser -bytes-tolerance (short CI
 // runs amortize one-time pool growth over fewer iterations, so B/op
@@ -185,8 +188,11 @@ func main() {
 // compareBaseline gates the fresh report against a baseline artifact:
 // benchmarks present in both must not regress in ns/op or allocs/op by
 // more than the tolerance fraction, nor in bytes/op by more than the
-// (looser) bytesTolerance fraction.  Benchmarks that exist on only one
-// side are ignored (the bench suite may grow or shrink between commits).
+// (looser) bytesTolerance fraction.  Every baseline entry the report's
+// -bench pattern selects must be in the report; a missing one is a
+// regression naming it.  Benchmarks the run produced without a
+// baseline entry are ignored (the bench suite may grow between
+// commits).
 func compareBaseline(path string, report Report, tolerance, bytesTolerance float64) ([]string, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -196,13 +202,19 @@ func compareBaseline(path string, report Report, tolerance, bytesTolerance float
 	if err := json.Unmarshal(data, &base); err != nil {
 		return nil, fmt.Errorf("parsing baseline %s: %w", path, err)
 	}
+	selected, err := regexp.Compile(report.Bench)
+	if err != nil {
+		return nil, fmt.Errorf("bench pattern %q: %w", report.Bench, err)
+	}
 	baseline := make(map[string]Benchmark, len(base.Benchmarks))
 	for _, b := range base.Benchmarks {
 		baseline[b.Name] = b
 	}
 	var regressions []string
 	matched := 0
+	produced := make(map[string]bool, len(report.Benchmarks))
 	for _, b := range report.Benchmarks {
+		produced[b.Name] = true
 		ref, ok := baseline[b.Name]
 		if !ok {
 			continue
@@ -228,6 +240,12 @@ func compareBaseline(path string, report Report, tolerance, bytesTolerance float
 	}
 	if matched == 0 {
 		return nil, fmt.Errorf("baseline %s shares no benchmarks with this run (bench %q)", path, report.Bench)
+	}
+	for _, ref := range base.Benchmarks {
+		if !produced[ref.Name] && selected.MatchString("Benchmark"+ref.Name) {
+			regressions = append(regressions, fmt.Sprintf(
+				"%s: in baseline %s but not produced by this run", ref.Name, path))
+		}
 	}
 	return regressions, nil
 }

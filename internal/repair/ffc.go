@@ -52,7 +52,7 @@ type ffcPatcher struct {
 	faulty    map[int]bool // faulty necklace representatives
 	tree      map[int]ffc.TreeEdge
 	stars     map[int]*star // edge label w → star T_w
-	overrides map[int]int   // Step-3 successor overrides
+	overrides []int32       // Step-3 successor override per node; -1 = left rotation
 
 	// Cumulative raw fault components, maintained so Unpatch can tell
 	// when a necklace is fully healed and star closures can avoid
@@ -124,9 +124,14 @@ func (p *ffcPatcher) embedStructural(f topology.FaultSet) ([]int, *topology.Embe
 	for c, e := range res.Tree {
 		p.tree[c] = e
 	}
-	p.overrides = make(map[int]int, len(res.Overrides))
-	for o, i := range res.Overrides {
-		p.overrides[o] = i
+	p.resetOverrides()
+	outs := make([]int, 0, len(res.Overrides))
+	for o := range res.Overrides {
+		outs = append(outs, o)
+	}
+	sort.Ints(outs)
+	for _, o := range outs {
+		p.overrides[o] = int32(res.Overrides[o])
 	}
 	p.nodeFaults = make(map[int]bool, len(f.Nodes))
 	p.necklaceFaults = make(map[int]int, len(f.Nodes))
@@ -218,11 +223,31 @@ func (p *ffcPatcher) member(rep int) bool {
 
 // ringSuccessor is the Step-3 rule: the override if one exists, the left
 // rotation otherwise.
+//
+//ringlint:noalloc
 func (p *ffcPatcher) ringSuccessor(x int) int {
-	if nx, ok := p.overrides[x]; ok {
-		return nx
+	if nx := p.overrides[x]; nx >= 0 {
+		return int(nx)
 	}
 	return p.g.RotL(x)
+}
+
+// resetOverrides sizes the override table to the graph and clears every
+// entry back to the left rotation.
+func (p *ffcPatcher) resetOverrides() {
+	if len(p.overrides) != p.g.Size {
+		p.overrides = make([]int32, p.g.Size)
+	}
+	for i := range p.overrides {
+		p.overrides[i] = -1
+	}
+}
+
+// setOverrides installs planned [out, in] override pairs.
+func (p *ffcPatcher) setOverrides(pairs [][2]int) {
+	for _, pr := range pairs {
+		p.overrides[pr[0]] = int32(pr[1])
+	}
 }
 
 func (p *ffcPatcher) Patch(add topology.FaultSet) ([]int, Outcome) {
@@ -532,7 +557,7 @@ func starMembers(s *star) []int {
 func (p *ffcPatcher) clearStar(s *star, w int) {
 	for _, m := range starMembers(s) {
 		if out := ffc.SuffixNode(p.g, m, w); out >= 0 {
-			delete(p.overrides, out)
+			p.overrides[out] = -1
 		}
 	}
 }
@@ -546,9 +571,7 @@ func (p *ffcPatcher) closeStar(s *star, w int) bool {
 	if pairs == nil {
 		return false
 	}
-	for _, pr := range pairs {
-		p.overrides[pr[0]] = pr[1]
-	}
+	p.setOverrides(pairs)
 	p.touched++
 	return true
 }
@@ -681,8 +704,8 @@ func (p *ffcPatcher) absorbTraversed() (changed, ok bool) {
 // the only option when the necklace is the root's.
 func (p *ffcPatcher) absorbEdge(e topology.Edge) bool {
 	w := p.g.Suffix(e.From)
-	if next, ok := p.overrides[e.From]; ok {
-		if next != e.To {
+	if next := p.overrides[e.From]; next >= 0 {
+		if int(next) != e.To {
 			return false // defensive: caller checked the ring hop
 		}
 		s := p.stars[w]
@@ -691,9 +714,7 @@ func (p *ffcPatcher) absorbEdge(e topology.Edge) bool {
 		}
 		if pairs := p.planStar(starMembers(s), w); pairs != nil {
 			p.clearStar(s, w)
-			for _, pr := range pairs {
-				p.overrides[pr[0]] = pr[1]
-			}
+			p.setOverrides(pairs)
 			return true
 		}
 		// No single-cycle order avoids the wire — for d = 2 every star
@@ -842,9 +863,7 @@ func (p *ffcPatcher) rehang(c, w, center int) bool {
 	if dissolveOld {
 		delete(p.stars, old.W)
 	} else {
-		for _, pr := range planOld {
-			p.overrides[pr[0]] = pr[1]
-		}
+		p.setOverrides(planOld)
 	}
 	if sNew == nil {
 		sNew = &star{center: center}
@@ -854,9 +873,7 @@ func (p *ffcPatcher) rehang(c, w, center int) bool {
 	}
 	sNew.children = insertSorted(sNew.children, c)
 	p.tree[c] = ffc.TreeEdge{Parent: center, W: w}
-	for _, pr := range planNew {
-		p.overrides[pr[0]] = pr[1]
-	}
+	p.setOverrides(planNew)
 	return true
 }
 
@@ -910,9 +927,10 @@ func (p *ffcPatcher) Snapshot() ([]byte, error) {
 	}
 	sort.Slice(st.Tree, func(i, j int) bool { return st.Tree[i][0] < st.Tree[j][0] })
 	for o, i := range p.overrides {
-		st.Overrides = append(st.Overrides, [2]int{o, i})
+		if i >= 0 {
+			st.Overrides = append(st.Overrides, [2]int{o, int(i)})
+		}
 	}
-	sort.Slice(st.Overrides, func(i, j int) bool { return st.Overrides[i][0] < st.Overrides[j][0] })
 	return json.Marshal(st)
 }
 
@@ -951,12 +969,12 @@ func (p *ffcPatcher) Restore(state []byte, ring []int, f topology.FaultSet) erro
 		}
 		p.tree[e[0]] = ffc.TreeEdge{Parent: e[1], W: e[2]}
 	}
-	p.overrides = make(map[int]int, len(st.Overrides))
+	p.resetOverrides()
 	for _, o := range st.Overrides {
 		if o[0] < 0 || o[0] >= p.g.Size || o[1] < 0 || o[1] >= p.g.Size {
 			return fmt.Errorf("repair: snapshot override %v out of range", o)
 		}
-		p.overrides[o[0]] = o[1]
+		p.overrides[o[0]] = int32(o[1])
 	}
 	f = f.Canonical()
 	p.nodeFaults = make(map[int]bool, len(f.Nodes))

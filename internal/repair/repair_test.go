@@ -1,6 +1,8 @@
 package repair
 
 import (
+	"bytes"
+	"encoding/json"
 	"math/rand"
 	"testing"
 
@@ -326,5 +328,89 @@ func TestPatcherSelection(t *testing.T) {
 	}
 	if _, o := p.Patch(topology.NodeFaults(1)); o != Unsupported {
 		t.Errorf("dilation-2 patch: outcome %v, want Unsupported", o)
+	}
+}
+
+// TestFFCSnapshotRoundTripAfterLifecycle runs a seeded Patch/Unpatch
+// sequence on B(2,10), then checks that Snapshot → Restore on a fresh
+// patcher reproduces the ring and that the restored patcher's own
+// Snapshot is byte-identical, overrides in ascending node order.
+func TestFFCSnapshotRoundTripAfterLifecycle(t *testing.T) {
+	net, _ := topology.NewDeBruijn(2, 10)
+	p := newFFCPatcher(net)
+	ring, _, err := p.Embed(topology.FaultSet{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var faults topology.FaultSet
+	rng := rand.New(rand.NewSource(1014))
+	outcomes := map[Outcome]int{}
+	for step := 0; step < 40; step++ {
+		var r []int
+		var o Outcome
+		prev := faults
+		switch k := rng.Intn(4); {
+		case k == 0 && len(faults.Nodes) > 0:
+			heal := topology.NodeFaults(faults.Nodes[rng.Intn(len(faults.Nodes))])
+			faults = faults.Minus(heal)
+			r, o = p.Unpatch(heal)
+		case k == 1: // a link the ring traverses
+			j := rng.Intn(len(ring))
+			add := topology.EdgeFaults(topology.Edge{From: ring[j], To: ring[(j+1)%len(ring)]})
+			faults = faults.Union(add)
+			r, o = p.Patch(add)
+		case len(faults.Nodes) < 4:
+			add := topology.NodeFaults(rng.Intn(net.Nodes()))
+			faults = faults.Union(add)
+			r, o = p.Patch(add)
+		default:
+			continue
+		}
+		outcomes[o]++
+		switch o {
+		case Patched, Reordered, Readmitted:
+			ring = r
+		case Unsupported:
+			if ring, _, err = p.Embed(faults); err != nil {
+				faults = prev
+				if ring, _, err = p.Embed(faults); err != nil {
+					t.Fatalf("step %d: re-embed of previous state: %v", step, err)
+				}
+			}
+		}
+	}
+	if outcomes[Patched] == 0 || outcomes[Readmitted] == 0 || outcomes[Reordered] == 0 {
+		t.Fatalf("sequence missed a local outcome: %v", outcomes)
+	}
+
+	state, err := p.Snapshot()
+	if err != nil || len(state) == 0 {
+		t.Fatalf("Snapshot: %q, %v", state, err)
+	}
+	var st ffcState
+	if err := json.Unmarshal(state, &st); err != nil {
+		t.Fatal(err)
+	}
+	if len(st.Overrides) == 0 {
+		t.Fatal("snapshot carries no overrides")
+	}
+	for i := 1; i < len(st.Overrides); i++ {
+		if st.Overrides[i-1][0] >= st.Overrides[i][0] {
+			t.Fatalf("overrides not in ascending node order at %d: %v", i, st.Overrides[i-1:i+1])
+		}
+	}
+	q := newFFCPatcher(net)
+	if err := q.Restore(state, ring, faults); err != nil {
+		t.Fatalf("Restore: %v", err)
+	}
+	if got, ok := q.walk(); !ok || !equalInts(got, ring) {
+		t.Fatal("restored patcher does not reproduce the ring")
+	}
+	again, err := q.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again, state) {
+		t.Errorf("second snapshot differs:\n%s\n%s", state, again)
 	}
 }

@@ -109,7 +109,7 @@ func (m *Manager) create(name, spec string, net topology.RingEmbedder, faults to
 		return nil, err
 	}
 	s.faults = faults
-	s.ring = append([]int(nil), ring...)
+	s.setRingLocked(append([]int(nil), ring...))
 	s.rounds = info.Rounds
 
 	if m.store != nil {
@@ -133,7 +133,7 @@ func (m *Manager) create(name, spec string, net topology.RingEmbedder, faults to
 		RingLength: len(s.ring),
 		LowerBound: s.lowerBoundFor(faults),
 		FaultCount: len(faults.Nodes) + len(faults.Edges),
-		RingHash:   ringHash(s.ring),
+		RingHash:   s.ringHash,
 	}
 	s.mu.Lock()
 	s.seq++
@@ -376,7 +376,7 @@ func (m *Manager) restoreOne(name string) (*Session, error) {
 			snap = -1
 		} else if err := s.patcher.Restore(ev.Patcher, ev.Ring, faults); err == nil {
 			s.faults = faults
-			s.ring = append([]int(nil), ev.Ring...)
+			s.setRingLocked(append([]int(nil), ev.Ring...))
 			s.seq = ev.Seq
 			if ev.Stats != nil {
 				s.stats = *ev.Stats
@@ -394,7 +394,7 @@ func (m *Manager) restoreOne(name string) (*Session, error) {
 			return nil, fmt.Errorf("initial embed replay: %w", err)
 		}
 		s.faults = faults
-		s.ring = append([]int(nil), ring...)
+		s.setRingLocked(append([]int(nil), ring...))
 		s.rounds = info.Rounds
 		start = 1
 	}
@@ -403,7 +403,7 @@ func (m *Manager) restoreOne(name string) (*Session, error) {
 	for _, ev := range events[start:] {
 		switch ev.Kind {
 		case "embed":
-			if got := ringHash(s.ring); ev.RingHash != "" && got != ev.RingHash {
+			if got := s.ringHash; ev.RingHash != "" && got != ev.RingHash {
 				return nil, fmt.Errorf("seq %d: replayed embed hash %s != journaled %s%s", ev.Seq, got, ev.RingHash, semHint)
 			}
 			s.seq = ev.Seq

@@ -34,6 +34,7 @@ import (
 	"time"
 
 	"debruijnring/engine"
+	"debruijnring/internal/dense"
 	"debruijnring/internal/repair"
 	"debruijnring/topology"
 )
@@ -142,7 +143,8 @@ type Session struct {
 	patcher   repair.Patcher
 	faults    topology.FaultSet
 	ring      []int
-	rounds    int // broadcast rounds of the last full embed
+	ringHash  string // ringHash(ring), kept in step by setRingLocked
+	rounds    int    // broadcast rounds of the last full embed
 	seq       uint64
 	stats     Stats
 	journal   JournalWriter // nil when persistence is off
@@ -189,7 +191,7 @@ func (s *Session) StateSnapshot(includeRing bool) State {
 		Seq:        s.seq,
 		RingLength: len(s.ring),
 		LowerBound: s.lowerBoundLocked(),
-		RingHash:   ringHash(s.ring),
+		RingHash:   s.ringHash,
 		FaultNodes: append([]int(nil), s.faults.Nodes...),
 		FaultEdges: encodeEdges(s.faults.Edges),
 		Stats:      s.stats,
@@ -393,16 +395,25 @@ func (s *Session) settleLocked(ev *Event, ring []int, target topology.FaultSet, 
 		ev.Error = embedErr.Error()
 	} else {
 		if ring != nil {
-			ev.Removed, ev.Added, ev.DeltaTruncated = ringDelta(s.ring, ring)
-			s.ring = ring
+			ev.Removed, ev.Added, ev.DeltaTruncated = ringDelta(s.net.Nodes(), s.ring, ring)
+			s.setRingLocked(ring)
 		}
 		s.faults = target
 		ev.LowerBound = s.lowerBoundFor(target)
 	}
 	ev.RingLength = len(s.ring)
-	ev.RingHash = ringHash(s.ring)
+	ev.RingHash = s.ringHash
 	s.finishEventLocked(ev, start, record, s.stats.tally(ev.Kind == "heal", ev.Repair))
 	return ev, embedErr
+}
+
+// setRingLocked installs ring as the session's ring together with its
+// hash.  It is the only writer of s.ring, so the hash is computed once
+// per ring change and every reader (events, state, snapshots, replay
+// checks) shares it.
+func (s *Session) setRingLocked(ring []int) {
+	s.ring = ring
+	s.ringHash = ringHash(ring)
 }
 
 // tally bumps the counter for one settled event, by direction and
@@ -555,7 +566,7 @@ func (s *Session) writeSnapshotLocked() {
 		Seq:        s.seq,
 		Time:       time.Now().UTC(),
 		Kind:       "snapshot",
-		RingHash:   ringHash(s.ring),
+		RingHash:   s.ringHash,
 		RingLength: len(s.ring),
 		Ring:       s.ring,
 		FaultNodes: s.faults.Nodes,
@@ -596,30 +607,45 @@ func ringHash(ring []int) string {
 	return strconv.FormatUint(h.Sum64(), 16)
 }
 
-// ringDelta diffs two rings as node sets, truncating large deltas.
-func ringDelta(old, cur []int) (removed, added []int, truncated bool) {
-	inOld := make(map[int]bool, len(old))
-	for _, v := range old {
-		inOld[v] = true
-	}
-	inNew := make(map[int]bool, len(cur))
+// deltaSets pools the epoch-stamped node sets ringDelta marks rings
+// in.  A shared pool, not per-session scratch, keeps the heap flat in
+// the number of sessions.
+var deltaSets = sync.Pool{New: func() any { return new(dense.Set) }}
+
+// ringDelta diffs two rings over nodes [0, n) as node sets: removed in
+// old's order, added in cur's order, both nil (truncated) when the
+// delta exceeds deltaLimit.  One pooled set serves both passes, so the
+// cost is linear in the rings with no per-event map.
+func ringDelta(n int, old, cur []int) (removed, added []int, truncated bool) {
+	seen := deltaSets.Get().(*dense.Set)
+	defer deltaSets.Put(seen)
+	markRing(seen, n, old)
 	for _, v := range cur {
-		inNew[v] = true
-	}
-	for _, v := range old {
-		if !inNew[v] {
-			removed = append(removed, v)
+		if !seen.Has(v) {
+			if added = append(added, v); len(added) > deltaLimit {
+				return nil, nil, true
+			}
 		}
 	}
-	for _, v := range cur {
-		if !inOld[v] {
-			added = append(added, v)
+	markRing(seen, n, cur)
+	for _, v := range old {
+		if !seen.Has(v) {
+			if removed = append(removed, v); len(removed)+len(added) > deltaLimit {
+				return nil, nil, true
+			}
 		}
-	}
-	if len(removed)+len(added) > deltaLimit {
-		return nil, nil, true
 	}
 	return removed, added, false
+}
+
+// markRing resets set to [0, n) and marks every node of ring.
+//
+//ringlint:noalloc
+func markRing(set *dense.Set, n int, ring []int) {
+	set.Reset(n)
+	for _, v := range ring {
+		set.Add(v)
+	}
 }
 
 func encodeEdges(edges []topology.Edge) [][2]int {
