@@ -24,17 +24,20 @@ import (
 )
 
 // BenchmarkTable21 regenerates a Table 2.1 row set: component size and
-// eccentricity statistics in B(2,10) under random faults.
+// eccentricity statistics in B(2,10) under random faults.  Both table
+// benchmarks run the trials on one worker, so their time and allocs do
+// not depend on the host's core count (the output is identical at any
+// worker count; TestSimulateWorkerInvariance covers the pool).
 func BenchmarkTable21(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		ffc.Simulate(2, 10, []int{1, 5, 10, 50}, 25, uint64(i))
+		ffc.SimulateWorkers(2, 10, []int{1, 5, 10, 50}, 25, uint64(i), 1)
 	}
 }
 
 // BenchmarkTable22 regenerates a Table 2.2 row set for B(4,5).
 func BenchmarkTable22(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		ffc.Simulate(4, 5, []int{1, 5, 10, 50}, 25, uint64(i))
+		ffc.SimulateWorkers(4, 5, []int{1, 5, 10, 50}, 25, uint64(i), 1)
 	}
 }
 
@@ -118,26 +121,12 @@ func BenchmarkProp23(b *testing.B) {
 	}
 }
 
-// BenchmarkEmbedParallelSerial and BenchmarkEmbedParallel measure one
-// cold FFC embed of the 65536-node B(2,16) — the large-instance class
-// the session fleet re-embeds on splice exhaustion — with the Step 1.1
-// broadcast BFS serial versus sharded across GOMAXPROCS workers.  The
-// two are bit-identical in output (TestEmbedParallelDeterminism), so on
-// 1-core CI hosts they must also run neck and neck: the parallel
-// benchmark is gated to pin the determinism machinery's overhead near
-// zero, not to demonstrate speedup (see PERF.md for the caveat).
-func BenchmarkEmbedParallelSerial(b *testing.B) {
-	benchmarkEmbedWorkers(b, 1)
-}
-
-func BenchmarkEmbedParallel(b *testing.B) {
-	benchmarkEmbedWorkers(b, 0)
-}
-
-func benchmarkEmbedWorkers(b *testing.B, workers int) {
+// BenchmarkEmbedCold measures one cold FFC embed of the 65536-node
+// B(2,16) — the large-instance class the session fleet re-embeds on
+// splice exhaustion.
+func BenchmarkEmbedCold(b *testing.B) {
 	g := debruijn.New(2, 16)
 	em := ffc.NewEmbedder(g)
-	em.Workers = workers
 	faults := []int{12345}
 	// Warm the pooled scratch (comp/dist/order growth is a one-time
 	// cost) so B/op and allocs/op reflect the steady-state embed at the

@@ -27,7 +27,7 @@ type batchRequest struct {
 // runBatch reads JSON-lines requests, serves them concurrently through
 // the memoizing engine, and prints one summary line per request (in
 // input order) plus the cache counters.
-func runBatch(path string, workers, embedWorkers int, quiet bool) error {
+func runBatch(path string, workers int, quiet bool) error {
 	var in io.Reader = os.Stdin
 	if path != "-" {
 		f, err := os.Open(path)
@@ -75,7 +75,7 @@ func runBatch(path string, workers, embedWorkers int, quiet bool) error {
 		return fmt.Errorf("batch input holds no requests")
 	}
 
-	eng := engine.New(engine.Options{Workers: workers, EmbedWorkers: embedWorkers})
+	eng := engine.New(engine.Options{Workers: workers})
 	results := eng.EmbedBatch(context.Background(), reqs)
 	for i, res := range results {
 		if res.Err != nil {

@@ -31,12 +31,9 @@ type ShardConfig struct {
 	Standby bool
 	// SnapshotEvery is passed to the session manager.
 	SnapshotEvery int
-	// Workers / EmbedWorkers / CacheSize are passed to the engine
-	// (EmbedWorkers bounds the intra-embed BFS parallelism of adapters
-	// that shard internally; 0 = GOMAXPROCS, 1 = serial).
-	Workers      int
-	EmbedWorkers int
-	CacheSize    int
+	// Workers / CacheSize are passed to the engine.
+	Workers   int
+	CacheSize int
 	// Logf receives operational complaints; nil discards them.
 	Logf func(string, ...any)
 }
@@ -83,7 +80,7 @@ func NewShard(cfg ShardConfig) (*Shard, error) {
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
-	eng := engine.New(engine.Options{Workers: cfg.Workers, EmbedWorkers: cfg.EmbedWorkers, CacheSize: cfg.CacheSize})
+	eng := engine.New(engine.Options{Workers: cfg.Workers, CacheSize: cfg.CacheSize})
 
 	var local session.Store
 	var repl *ReplicatedStore

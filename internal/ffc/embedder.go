@@ -3,9 +3,7 @@ package ffc
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sort"
-	"sync"
 
 	"debruijnring/internal/debruijn"
 	"debruijnring/internal/dense"
@@ -25,15 +23,6 @@ type Embedder struct {
 	g    *debruijn.Graph
 	reps []int32 // necklace representative per node
 
-	// Workers bounds the frontier parallelism of the Step 1.1 broadcast
-	// BFS: 1 (or negative) keeps the level scan serial, 0 uses
-	// GOMAXPROCS, anything else is the worker count.  Output is
-	// bit-identical for every setting — workers scan disjoint frontier
-	// segments and their candidate buffers are merged in segment order,
-	// which reproduces the serial discovery order exactly (the Simulate
-	// determinism recipe) — so Workers is purely a latency knob.
-	Workers int
-
 	faultRep  dense.Set  // faulty necklace representatives
 	comp      dense.Ints // component id per node
 	compSizes []int32
@@ -41,25 +30,12 @@ type Embedder struct {
 	stack     []int32
 	dist      dense.Ints // broadcast distance per node
 	order     []int32    // BFS visit order (level order)
-	scanBufs  [][]int32  // per-worker next-frontier candidate buffers
 	earliest  dense.Ints // necklace rep → earliest-informed node Y
 	repList   []int32    // surviving necklace reps in ascending order
 	ov        dense.Ints // Step-3 successor overrides, node → node
 	stars     []starEdge
 	members   []int
-
-	// parallelFrontier overrides the frontier size at which a level is
-	// worth sharding; 0 means defaultParallelFrontier.  Tests lower it
-	// to drive the worker pool on small instances.
-	parallelFrontier int
 }
-
-// defaultParallelFrontier is the frontier size below which a level is
-// scanned inline: sharding a few hundred nodes costs more in goroutine
-// handoff than the scan itself, and small instances (every B(d,n) under
-// ~64k nodes never grows a frontier this large) stay on the exact serial
-// fast path at any Workers setting.
-const defaultParallelFrontier = 2048
 
 // starEdge is one tree edge flattened for Step-2 grouping by label.
 type starEdge struct{ w, child, parent int32 }
@@ -172,10 +148,8 @@ func (e *Embedder) Embed(faults []int) (*Result, error) {
 
 	// Step 1.1: broadcast from R.  Level-synchronous BFS along directed
 	// edges within B*; the visit order doubles as the node list for the
-	// passes below.  Large frontiers are sharded across a worker pool
-	// (see broadcastLevel); the eccentricity is the depth of the last
-	// non-empty level, tracked explicitly so no frontier reordering can
-	// silently misreport it.
+	// passes below.  The eccentricity is the depth of the last non-empty
+	// level.
 	res.Eccentricity = e.broadcast(root, bestID)
 
 	// parentOf mirrors the Step 1.1 tie-break: the minimal predecessor
@@ -308,15 +282,7 @@ func (e *Embedder) Embed(faults []int) (*Result, error) {
 
 // broadcast runs the Step 1.1 level-order BFS from root inside component
 // bestID, filling e.dist and e.order, and returns the eccentricity (the
-// depth of the deepest level).  Levels whose frontier reaches the
-// parallel threshold are sharded across the worker pool: each worker
-// scans a contiguous frontier segment and appends every in-component,
-// not-yet-stamped successor to its own candidate buffer — a read-only
-// pass over comp/dist, so the workers never race — and a sequential
-// merge then stamps first occurrences in segment order.  Concatenating
-// the segment buffers in order replays the exact candidate stream the
-// serial loop would see, so dist, order, and every downstream tie-break
-// are bit-identical at any worker count.
+// depth of the deepest level).
 func (e *Embedder) broadcast(root int, bestID int32) int {
 	g := e.g
 	d := g.D
@@ -324,106 +290,31 @@ func (e *Embedder) broadcast(root int, bestID int32) int {
 	e.dist.Set(root, 0)
 	e.order = append(e.order[:0], int32(root))
 
-	workers := e.Workers
-	if workers == 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	threshold := e.parallelFrontier
-	if threshold <= 0 {
-		threshold = defaultParallelFrontier
-	}
-
 	ecc := 0
 	for head, depth := 0, 0; head < len(e.order); depth++ {
 		levelEnd := len(e.order)
-		if workers > 1 && levelEnd-head >= threshold {
-			e.broadcastLevel(head, levelEnd, depth, bestID, workers)
-		} else {
-			for ; head < levelEnd; head++ {
-				v := int(e.order[head])
-				base := g.Suffix(v) * d
-				for a := 0; a < d; a++ {
-					w := base + a
-					if w == v {
-						continue
-					}
-					if id, ok := e.comp.Get(w); !ok || id != bestID {
-						continue
-					}
-					if !e.dist.Has(w) {
-						e.dist.Set(w, int32(depth+1))
-						e.order = append(e.order, int32(w))
-					}
+		for ; head < levelEnd; head++ {
+			v := int(e.order[head])
+			base := g.Suffix(v) * d
+			for a := 0; a < d; a++ {
+				w := base + a
+				if w == v {
+					continue
+				}
+				if id, ok := e.comp.Get(w); !ok || id != bestID {
+					continue
+				}
+				if !e.dist.Has(w) {
+					e.dist.Set(w, int32(depth+1))
+					e.order = append(e.order, int32(w))
 				}
 			}
 		}
-		head = levelEnd
 		if len(e.order) > levelEnd {
 			ecc = depth + 1
 		}
 	}
 	return ecc
-}
-
-// broadcastLevel shards one BFS level (e.order[head:levelEnd]) across
-// nw workers and merges their candidate buffers sequentially.  Workers
-// only read comp and dist and write their private buffer; all stamping
-// happens after the WaitGroup barrier, on one goroutine.
-func (e *Embedder) broadcastLevel(head, levelEnd, depth int, bestID int32, nw int) {
-	g := e.g
-	d := g.D
-	size := levelEnd - head
-	if nw > size {
-		nw = size
-	}
-	for len(e.scanBufs) < nw {
-		e.scanBufs = append(e.scanBufs, nil)
-	}
-
-	var wg sync.WaitGroup
-	chunk := (size + nw - 1) / nw
-	for wi := 0; wi < nw; wi++ {
-		lo := head + wi*chunk
-		hi := lo + chunk
-		if hi > levelEnd {
-			hi = levelEnd
-		}
-		wg.Add(1)
-		go func(wi, lo, hi int) {
-			defer wg.Done()
-			buf := e.scanBufs[wi][:0]
-			for i := lo; i < hi; i++ {
-				v := int(e.order[i])
-				base := g.Suffix(v) * d
-				for a := 0; a < d; a++ {
-					w := base + a
-					if w == v {
-						continue
-					}
-					if id, ok := e.comp.Get(w); !ok || id != bestID {
-						continue
-					}
-					if !e.dist.Has(w) {
-						buf = append(buf, int32(w))
-					}
-				}
-			}
-			e.scanBufs[wi] = buf
-		}(wi, lo, hi)
-	}
-	wg.Wait()
-
-	// Sequential merge in segment order: first occurrence wins, exactly
-	// as the serial loop's stamp-on-discovery dedup would have chosen.
-	d32 := int32(depth + 1)
-	for wi := 0; wi < nw; wi++ {
-		for _, w32 := range e.scanBufs[wi] {
-			if w := int(w32); !e.dist.Has(w) {
-				e.dist.Set(w, d32)
-				e.order = append(e.order, w32)
-			}
-		}
-	}
 }
 
 // distOrZero mirrors the legacy map semantics dist[x] (0 when absent),

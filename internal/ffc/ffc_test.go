@@ -1,6 +1,7 @@
 package ffc
 
 import (
+	"math/rand/v2"
 	"testing"
 
 	"debruijnring/internal/debruijn"
@@ -524,6 +525,43 @@ func BenchmarkEmbedB46TwoFaults(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := Embed(g, faults); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+func randomFaults(rng *rand.Rand, size, nf int) []int {
+	faults := make([]int, 0, nf)
+	for len(faults) < nf {
+		faults = append(faults, rng.IntN(size))
+	}
+	return faults
+}
+
+// TestEmbedEccentricityMatchesLegacy pins the explicit level-depth
+// eccentricity against the legacy map-based broadcast, which read the
+// distance of the last visited node.
+func TestEmbedEccentricityMatchesLegacy(t *testing.T) {
+	grid := []struct{ d, n int }{{2, 8}, {2, 10}, {3, 5}, {4, 4}}
+	for _, tc := range grid {
+		g := debruijn.New(tc.d, tc.n)
+		rng := rand.New(rand.NewPCG(uint64(tc.n), uint64(tc.d)))
+		for trial := 0; trial < 4; trial++ {
+			faults := randomFaults(rng, g.Size, trial)
+			res, err := NewEmbedder(g).Embed(faults)
+			if err != nil {
+				continue
+			}
+			faultyReps := FaultyNecklaces(g, faults)
+			alive := func(x int) bool { return !faultyReps[g.NecklaceRep(x)] }
+			comp, err := LargestComponent(g, alive)
+			if err != nil {
+				t.Fatalf("B(%d,%d) faults=%v: %v", tc.d, tc.n, faults, err)
+			}
+			_, _, ecc := broadcastTreeLegacy(g, comp.MinNode, comp.Member)
+			if res.Eccentricity != ecc {
+				t.Errorf("B(%d,%d) faults=%v: Eccentricity=%d, legacy broadcast says %d",
+					tc.d, tc.n, faults, res.Eccentricity, ecc)
+			}
 		}
 	}
 }

@@ -17,7 +17,7 @@ import (
 //     orderInsensitive) or carries a //ringlint:allow maporder.
 //
 // These are the invariants behind hash-verified journal replay and
-// bit-identical frontier-parallel embeds: one nondeterministic
+// bit-identical Simulate tables at any worker count: one nondeterministic
 // iteration in a kernel or output path and replicas diverge.
 func analyzeDeterminism(l *Loader, pkgs []*Package) []Finding {
 	var out []Finding

@@ -13,7 +13,7 @@
 //     are forbidden; module-wide, `range` over a map must be provably
 //     order-insensitive (see below) or annotated.  Guards: the
 //     hash-verified journal replay (PR 3/6) and bit-identical
-//     frontier-parallel embeds (PR 9), plus byte-stable /v1/fleet,
+//     Simulate tables at any worker count, plus byte-stable /v1/fleet,
 //     /v1/stats and /metrics output.
 //
 //   - noalloc — functions marked //ringlint:noalloc (obs counters and
@@ -30,8 +30,7 @@
 //     function must never be read or written plainly anywhere in the
 //     module, and values of the atomic.* cell types must not be copied
 //     (assignment, argument, return) — go vet's copylocks does not
-//     cover them.  Guards: -race cleanliness of the SetEmbedWorkers
-//     plumbing and the obs counters.
+//     cover them.  Guards: -race cleanliness of the obs counters.
 //
 //   - journal — in the session and fleet packages every error from a
 //     Write/Append/Sync call must be checked; bare-statement calls,

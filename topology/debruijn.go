@@ -3,7 +3,6 @@ package topology
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"debruijnring/internal/debruijn"
 	"debruijnring/internal/ffc"
@@ -22,11 +21,6 @@ type DeBruijn struct {
 	// EmbedRing calls, so the engine's worker loop reuses traversal
 	// buffers instead of reallocating them per request.
 	embedders sync.Pool
-
-	// embedWorkers is the ffc.Embedder.Workers setting applied to every
-	// pooled embedder (0 = GOMAXPROCS, 1 = serial).  Atomic because
-	// FromSpec memoizes adapters across goroutines.
-	embedWorkers atomic.Int32
 }
 
 // NewDeBruijn returns the B(d,n) adapter; d ≥ 2, n ≥ 1.
@@ -46,16 +40,6 @@ func (t *DeBruijn) WordLen() int { return t.n }
 // Graph exposes the underlying De Bruijn model for callers needing the
 // full §3.1 cycle/sequence toolkit.
 func (t *DeBruijn) Graph() *debruijn.Graph { return t.g }
-
-// SetEmbedWorkers implements EmbedWorkerSetter: it bounds the frontier
-// parallelism of the Step 1.1 broadcast BFS in every embedder this
-// adapter pools (0 = GOMAXPROCS, 1 = serial).  The output is
-// bit-identical for every setting; safe to call concurrently with
-// EmbedRing.
-func (t *DeBruijn) SetEmbedWorkers(w int) { t.embedWorkers.Store(int32(w)) }
-
-// EmbedWorkers returns the current SetEmbedWorkers setting.
-func (t *DeBruijn) EmbedWorkers() int { return int(t.embedWorkers.Load()) }
 
 // Name implements Network.
 func (t *DeBruijn) Name() string { return fmt.Sprintf("debruijn(%d,%d)", t.d, t.n) }
@@ -93,7 +77,6 @@ func (t *DeBruijn) EmbedRing(f FaultSet) ([]int, *EmbedInfo, error) {
 	if em == nil {
 		em = ffc.NewEmbedder(t.g)
 	}
-	em.Workers = int(t.embedWorkers.Load())
 	res, err := em.Embed(f.Nodes)
 	t.embedders.Put(em)
 	if err != nil {
